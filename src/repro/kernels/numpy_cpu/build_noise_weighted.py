@@ -1,11 +1,17 @@
 """build_noise_weighted, batched CPU implementation.
 
 One flattened scatter-accumulation: flagged and invalid samples are
-filtered out (not zero-padded), and ``np.add.at`` applies the surviving
-contributions in sample-major (detector inner) order -- exactly the order
-the scalar reference visits, so duplicate-pixel accumulation is bitwise
-identical to it, and windowed streaming over the sample axis reproduces the
-full-observation sum for any window size.
+filtered out (not zero-padded) by a boolean compress of the sample-major
+(detector inner) contribution stream -- exactly the order the scalar
+reference visits.  Each Stokes column is then scattered with its own 1-D
+``np.add.at``, which applies colliding updates in stream order, so
+duplicate-pixel accumulation is bitwise identical to the reference, and
+windowed streaming over the sample axis reproduces the full-observation
+sum for any window size.
+
+The scatter stays on one thread: ``np.add.at`` holds the GIL, and
+partitioning it by pixel ownership across threads measured slower than
+the serial call.
 """
 
 import numpy as np
@@ -42,11 +48,11 @@ def build_noise_weighted(
     if not good.any():
         # Fully flag-masked: no scatter work to build.
         return
-    # Compress to the surviving lanes before computing contributions --
-    # transposing before np.nonzero enumerates lanes sample-major
-    # (detector inner), preserving the canonical scatter order.
-    lane_idx, det_idx = np.nonzero(good.T)
-    samp = flat[lane_idx]
-    z = det_scale[det_idx] * tod[det_idx, samp]
-    contrib = z[:, None] * weights[det_idx, samp]
-    np.add.at(zmap, pix[det_idx, lane_idx], contrib)
+    # Transposing before the compress enumerates lanes sample-major
+    # (detector inner), the canonical scatter order.
+    keep = good.T.ravel()
+    pix = pix.T.ravel()[keep]
+    z = det_scale[:, None] * tod[:, flat]
+    w = np.take(weights, flat, axis=1)
+    for k in range(zmap.shape[1]):
+        np.add.at(zmap[:, k], pix, (z * w[..., k]).T.ravel()[keep])

@@ -1,8 +1,9 @@
 """cov_accum_diag_hits / cov_accum_diag_invnpp, batched CPU.
 
-Both accumulate with a single filtered ``np.add.at`` in detector-major,
+Both accumulate with filtered 1-D ``np.add.at`` scatters in detector-major,
 sample order (the reference order); the invnpp outer-product triangle
-keeps the reference's ``(g * w_i) * w_j`` multiplication order.
+keeps the reference's ``(g * w_i) * w_j`` multiplication order and is
+scattered one triangle column at a time.
 """
 
 import numpy as np
@@ -45,15 +46,18 @@ def cov_accum_diag_invnpp(
     if flat.size == 0:
         return
     nnz = weights.shape[2]
-    tri = [(i, j) for i in range(nnz) for j in range(i, nnz)]
     pix = pixels[:, flat]
     good = pix >= 0
     if not good.any():
         return
-    # Build the outer-product triangle only for surviving lanes; nonzero's
-    # row-major order keeps the reference's detector-major scatter order.
-    det_idx, lane_idx = np.nonzero(good)
-    w = weights[det_idx, flat[lane_idx]]
-    g = det_scale[det_idx]
-    outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=-1)
-    np.add.at(invnpp, pix[det_idx, lane_idx], outer)
+    # Boolean compress of the row-major (detector-major) lanes keeps the
+    # reference's scatter order.
+    keep = good.ravel()
+    pix = pix.ravel()[keep]
+    w = np.take(weights, flat, axis=1)
+    col = 0
+    for i in range(nnz):
+        gw = det_scale[:, None] * w[..., i]
+        for j in range(i, nnz):
+            np.add.at(invnpp[:, col], pix, (gw * w[..., j]).ravel()[keep])
+            col += 1

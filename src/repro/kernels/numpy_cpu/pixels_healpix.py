@@ -1,7 +1,8 @@
 """pixels_healpix, batched CPU implementation.
 
 The branch-heavy kernel the paper singles out (§4.2): here the branches
-become one masked write over the ``(n_det, n_flat)`` working set.
+become one masked write per detector block of the ``(n_det, n_flat)``
+working set.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math import qa
 from ..common import flatten_intervals
+from .blocks import det_blocks
 
 
 @kernel("pixels_healpix", ImplementationType.NUMPY)
@@ -28,9 +30,15 @@ def pixels_healpix(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    theta, phi = qa.to_position(quats[:, flat])
-    pix = ang2pix(nside, theta, phi, nest=nest)
+    flagged = None
     if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-        pix = np.where(flagged[None, :], np.int64(-1), pix)
-    pixels_out[:, flat] = pix
+        flagged = np.flatnonzero(shared_flags[flat] & mask)
+
+    def body(lo, hi):
+        theta, phi = qa.to_position(np.take(quats[lo:hi], flat, axis=1))
+        pix = ang2pix(nside, theta, phi, nest=nest)
+        if flagged is not None:
+            pix[:, flagged] = -1
+        pixels_out[lo:hi, flat] = pix
+
+    det_blocks(len(quats), flat.size, body)

@@ -1,8 +1,8 @@
 """pointing_detector, batched CPU implementation.
 
-One quaternion multiply over the full ``(n_det, n_flat)`` working set; the
-quaternion algebra is elementwise, so batching keeps results bitwise
-identical to the per-sample reference.
+One quaternion multiply per detector block of the ``(n_det, n_flat)``
+working set; the quaternion algebra is elementwise, so blocking keeps
+results bitwise identical to the per-sample reference.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import numpy as np
 from ...core.dispatch import ImplementationType, kernel
 from ...math import qa
 from ..common import flatten_intervals
+from .blocks import det_blocks
 
 
 @kernel("pointing_detector", ImplementationType.NUMPY)
@@ -27,8 +28,16 @@ def pointing_detector(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    rotated = qa.mult(boresight[flat][None, :, :], fp_quats[:, None, :])
+    bore = np.take(boresight, flat, axis=0)[None, :, :]
+    flagged = None
     if shared_flags is not None and mask:
-        flagged = (shared_flags[flat] & mask) != 0
-        rotated = np.where(flagged[None, :, None], fp_quats[:, None, :], rotated)
-    quats_out[:, flat] = rotated
+        flagged = np.flatnonzero(shared_flags[flat] & mask)
+
+    def body(lo, hi):
+        fp = fp_quats[lo:hi, None, :]
+        rotated = qa.mult(bore, fp)
+        if flagged is not None:
+            rotated[:, flagged] = fp
+        quats_out[lo:hi, flat] = rotated
+
+    det_blocks(len(fp_quats), flat.size, body)

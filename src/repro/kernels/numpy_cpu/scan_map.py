@@ -1,15 +1,16 @@
 """scan_map, batched CPU implementation.
 
-Row-gathers the map at every (detector, sample) pixel in one pass.  The
-Stokes contraction accumulates component by component in the reference
-order, and flagged lanes are excluded with ``where=`` so untouched samples
-keep their exact bits.
+Row-gathers the map at every (detector, sample) pixel, one detector block
+at a time.  The Stokes contraction accumulates component by component in
+the reference order, and flagged lanes are excluded with ``where=`` so
+untouched samples keep their exact bits.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ..common import flatten_intervals
+from .blocks import det_blocks
 
 
 @kernel("scan_map", ImplementationType.NUMPY)
@@ -38,19 +39,23 @@ def scan_map(
         if should_zero:
             tod[:, flat] = 0.0
         return
-    safe = np.where(good, pix, 0)
-    gathered = map_data[safe]
-    w = weights[:, flat]
-    sampled = np.zeros(pix.shape, dtype=np.float64)
-    for k in range(nnz):
-        sampled += gathered[..., k] * w[..., k]
-    value = sampled * data_scale
 
-    out = tod[:, flat]
-    if should_zero:
-        out[...] = 0.0
-    if should_subtract:
-        np.subtract(out, value, out=out, where=good)
-    else:
-        np.add(out, value, out=out, where=good)
-    tod[:, flat] = out
+    def body(lo, hi):
+        g = good[lo:hi]
+        gathered = np.take(map_data, np.where(g, pix[lo:hi], 0), axis=0)
+        w = np.take(weights[lo:hi], flat, axis=1)
+        sampled = np.zeros(g.shape, dtype=np.float64)
+        for k in range(nnz):
+            sampled += gathered[..., k] * w[..., k]
+        value = sampled * data_scale
+
+        out = tod[lo:hi, flat]
+        if should_zero:
+            out[...] = 0.0
+        if should_subtract:
+            np.subtract(out, value, out=out, where=g)
+        else:
+            np.add(out, value, out=out, where=g)
+        tod[lo:hi, flat] = out
+
+    det_blocks(len(tod), flat.size, body)

@@ -1,8 +1,8 @@
 """template_offset_project_signal, batched CPU implementation.
 
-The transpose of add_to_signal as one ordered scatter: ``np.add.at``
-accumulates detector-major, sample order -- the reference loop order -- so
-the blocked dot products agree bitwise.
+The transpose of add_to_signal as one ordered 1-D scatter: ``np.add.at``
+accumulates the raveled detector-major, sample-order stream -- the
+reference loop order -- so the blocked dot products agree bitwise.
 """
 
 import numpy as np
@@ -26,4 +26,4 @@ def template_offset_project_signal(
     if flat.size == 0:
         return
     amp = amp_offsets[:, None] + flat[None, :] // step_length
-    np.add.at(amplitudes, amp, tod[:, flat])
+    np.add.at(amplitudes, amp.ravel(), tod[:, flat].ravel())

@@ -755,6 +755,33 @@ def _cmd_plan(size_name: str, backend_name: str, as_json: bool, seed: int) -> in
     return 0
 
 
+def _megabatch_record(policies: dict, modeled: dict) -> dict:
+    """The megabatch entry of a sweep BENCH record.
+
+    Field prefixes name the clock: the deltas come from the simulated
+    device's ``virtual_seconds``, so they are ``virtual_*``; the
+    ``modeled_*`` ones come from ``perfmodel``.
+    """
+    mb = policies["megabatch"]
+    return {
+        "launches_saved": mb["launches_elided"],
+        "launch_reduction": mb["launch_reduction"],
+        "virtual_delta_vs_eager_s": (
+            policies["hybrid"]["virtual_seconds"] - mb["virtual_seconds"]
+        ),
+        "virtual_delta_vs_compiled_s": (
+            policies["compiled"]["virtual_seconds"] - mb["virtual_seconds"]
+        ),
+        "modeled_launch_delta_vs_eager_s": (
+            modeled["hybrid"].launch_seconds - modeled["megabatch"].launch_seconds
+        ),
+        "modeled_launch_delta_vs_compiled_s": (
+            modeled["compiled"].launch_seconds
+            - modeled["megabatch"].launch_seconds
+        ),
+    }
+
+
 def _cmd_sweep(
     no_mps: bool,
     live: bool = False,
@@ -840,9 +867,6 @@ def _cmd_sweep(
 
     with use_implementation(ImplementationType.OMP_TARGET):
         modeled = estimate_movement(movement["plan"], TransferModel())
-    hyb_v = movement["policies"]["hybrid"]["virtual_seconds"]
-    comp_v = movement["policies"]["compiled"]["virtual_seconds"]
-    mb_v = movement["policies"]["megabatch"]["virtual_seconds"]
     doc["runs"].append(
         {
             "date": today,
@@ -858,24 +882,7 @@ def _cmd_sweep(
                 for mode, e in movement["policies"].items()
             },
             "identical": movement["identical"],
-            "megabatch": {
-                "launches_saved": movement["policies"]["megabatch"][
-                    "launches_elided"
-                ],
-                "launch_reduction": movement["policies"]["megabatch"][
-                    "launch_reduction"
-                ],
-                "wall_delta_vs_eager_s": hyb_v - mb_v,
-                "wall_delta_vs_compiled_s": comp_v - mb_v,
-                "modeled_launch_delta_vs_eager_s": (
-                    modeled["hybrid"].launch_seconds
-                    - modeled["megabatch"].launch_seconds
-                ),
-                "modeled_launch_delta_vs_compiled_s": (
-                    modeled["compiled"].launch_seconds
-                    - modeled["megabatch"].launch_seconds
-                ),
-            },
+            "megabatch": _megabatch_record(movement["policies"], modeled),
         }
     )
     bench_path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -153,6 +153,38 @@ class TestCommands:
             "naive", "hybrid", "compiled", "megabatch"
         }
 
+    def test_megabatch_bench_record_names_its_clocks(self):
+        """No ``wall_*`` field of the sweep's megabatch record is virtual time.
+
+        Two records built from policies that differ only in their
+        ``virtual_seconds`` may differ only in ``virtual_*`` fields.
+        """
+        from types import SimpleNamespace
+
+        from repro.workflows.cli import _megabatch_record
+
+        modes = ("naive", "hybrid", "compiled", "megabatch")
+        modeled = {
+            m: SimpleNamespace(launch_seconds=1e-5 * (i + 1))
+            for i, m in enumerate(modes)
+        }
+
+        def record(scale):
+            policies = {
+                m: {
+                    "virtual_seconds": scale * (i + 1),
+                    "launches_elided": 4,
+                    "launch_reduction": 2.0,
+                }
+                for i, m in enumerate(modes)
+            }
+            return _megabatch_record(policies, modeled)
+
+        a, b = record(1.0), record(7.0)
+        moved = {k for k in a if a[k] != b[k]}
+        assert moved == {"virtual_delta_vs_eager_s", "virtual_delta_vs_compiled_s"}
+        assert not any(k.startswith("wall_") for k in a)
+
 
 class TestFaultsCommand:
     def test_faults_recovers_and_exits_zero(self, capsys):

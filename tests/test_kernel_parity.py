@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.dispatch import ImplementationType
 from repro.kernels import kernel_registry
+from repro.kernels.numpy_cpu import blocks
 from repro.workflows.microbench import kernel_cases, make_intervals, run_kernel_case
 
 # Registry-driven, not hand-enumerated: every registered kernel whose spec
@@ -24,6 +25,17 @@ KERNELS = [
 
 DET_COUNTS = [1, 3, 17]
 INTERVAL_KINDS = ["irregular", "full", "empty"]
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Two detectors per block at these sample counts.
+
+    The default blocks hold more lanes than any case here, so without
+    this every kernel would run as one block on the calling thread, and
+    ``OMP_NUM_THREADS`` would not split the work.
+    """
+    monkeypatch.setattr(blocks, "BLOCK_LANES", 240)
 
 
 def _assert_bitwise(name, py_outs, np_outs):
@@ -57,6 +69,26 @@ def test_numpy_matches_python_without_flags(kernel):
     py = run_kernel_case(kernel, ImplementationType.PYTHON, factory)
     npy = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
     _assert_bitwise(kernel, py, npy)
+
+
+@pytest.mark.parametrize("with_flags", [True, False])
+@pytest.mark.parametrize("intervals", INTERVAL_KINDS)
+@pytest.mark.parametrize("n_det", DET_COUNTS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_numpy_bitwise_at_every_thread_count(
+    kernel, n_det, intervals, with_flags, monkeypatch
+):
+    """Detector-block threading never changes a bit, even with uneven blocks."""
+    factory = kernel_cases(
+        n_det=n_det, n_samp=120, intervals=intervals, with_flags=with_flags
+    )[kernel]
+    py = run_kernel_case(kernel, ImplementationType.PYTHON, factory)
+    runs = {}
+    for threads in sorted({1, 2, 3, n_det + 1}):
+        monkeypatch.setenv("OMP_NUM_THREADS", str(threads))
+        runs[threads] = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
+        _assert_bitwise(kernel, runs[1], runs[threads])
+        _assert_bitwise(kernel, py, runs[threads])
 
 
 def test_empty_intervals_leave_outputs_untouched():
