@@ -1,102 +1,28 @@
-"""Detector-block execution for the batched CPU kernels.
+"""Cache-sized detector blocks for the batched CPU kernels.
 
-:func:`det_blocks` splits ``[0, n_det)`` into contiguous, cache-sized
-detector blocks and runs them on a process-wide thread pool -- the
-"parallel for over detectors" of the OpenMP kernels this backend stands
-in for.  NumPy ufuncs release the GIL, so blocks overlap; every block
+:func:`det_blocks` splits ``[0, n_det)`` into contiguous detector blocks
+small enough that a kernel's temporaries stay in cache.  Every block
 writes its own detector rows and each lane's arithmetic is unchanged, so
-results are bitwise identical for any thread count.
-
-The thread count follows the OpenMP convention: ``OMP_NUM_THREADS`` when
-set, else the CPUs this process may run on.
+results are bitwise identical for any block size.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable
 
 #: Target (detector, sample) lanes per block: 16k float64 lanes are 128 KiB
 #: per temporary, so a block's working set stays in a 2 MiB L2.  Measured
-#: inside the host_numpy benchmark (38 detectors x ~1.9k samples, 2-CPU
-#: host), 16k beat 8k and 32k lanes at 1 thread and tied 24k-32k at 2;
-#: one block holding all 38 detectors made the threaded kernels 1.5x slower.
+#: inside the host_numpy benchmark (38 detectors x ~1.9k samples), 16k
+#: beat 8k and 32k lanes; one block holding all 38 detectors was slower.
 BLOCK_LANES = 16384
-
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_workers = 0
-_pool_lock = threading.Lock()
-
-
-def n_threads() -> int:
-    """Threads per kernel call: ``OMP_NUM_THREADS``, else usable CPUs."""
-    env = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return len(os.sched_getaffinity(0))
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool is None or _pool_workers < workers:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="numpy-cpu"
-            )
-            _pool_workers = workers
-        return _pool
-
-
-def _reset_after_fork() -> None:
-    # The child inherits the pool object but not its threads: work
-    # submitted to it would never start, leaving the caller to run every
-    # block alone.  Build a fresh pool on demand.
-    global _pool, _pool_workers, _pool_lock
-    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def det_blocks(n_det: int, n_lanes: int, body: Callable[[int, int], None]) -> None:
     """Run ``body(lo, hi)`` over contiguous detector blocks of ``[0, n_det)``.
 
     ``n_lanes`` is the per-detector sample count; blocks hold about
-    ``BLOCK_LANES`` lanes.  The calling thread and up to ``n_threads() - 1``
-    pool threads take blocks from one shared queue, so a helper that wakes
-    late only takes what is left and the caller never waits for it to
-    start.  Every block has finished when this returns, and the first
-    exception raised by any block is re-raised here.
+    ``BLOCK_LANES`` lanes, and at least one detector.
     """
     per = max(1, BLOCK_LANES // max(n_lanes, 1))
-    todo = iter([(lo, min(lo + per, n_det)) for lo in range(0, n_det, per)])
-    n_helpers = min(n_threads(), -(-n_det // per)) - 1
-    take = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with take:
-                block = next(todo, None)
-            if block is None:
-                return
-            body(*block)
-
-    if n_helpers <= 0:
-        drain()
-        return
-    pool = _executor(n_helpers)
-    helpers = [pool.submit(drain) for _ in range(n_helpers)]
-    try:
-        drain()
-    finally:
-        # A helper that never started has nothing left to do; one that
-        # did may still be inside a block, so wait for it -- no thread
-        # writes to the outputs after this returns.
-        errors = [f.exception() for f in helpers if not f.cancel()]
-    for err in errors:
-        if err is not None:
-            raise err
+    for lo in range(0, n_det, per):
+        body(lo, min(lo + per, n_det))

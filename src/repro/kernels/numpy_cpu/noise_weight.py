@@ -2,7 +2,6 @@
 
 from ...core.dispatch import ImplementationType, kernel
 from ..common import flatten_intervals
-from .blocks import det_blocks
 
 
 @kernel("noise_weight", ImplementationType.NUMPY)
@@ -17,8 +16,4 @@ def noise_weight(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-
-    def body(lo, hi):
-        tod[lo:hi, flat] *= det_weights[lo:hi, None]
-
-    det_blocks(len(tod), flat.size, body)
+    tod[:, flat] *= det_weights[:, None]

@@ -2,7 +2,6 @@
 
 from ...core.dispatch import ImplementationType, kernel
 from ..common import flatten_intervals
-from .blocks import det_blocks
 
 
 @kernel("stokes_weights_I", ImplementationType.NUMPY)
@@ -17,8 +16,4 @@ def stokes_weights_I(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-
-    def body(lo, hi):
-        weights_out[lo:hi, flat] = cal
-
-    det_blocks(len(weights_out), flat.size, body)
+    weights_out[:, flat] = cal

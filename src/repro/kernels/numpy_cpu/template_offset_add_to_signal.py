@@ -2,7 +2,6 @@
 
 from ...core.dispatch import ImplementationType, kernel
 from ..common import flatten_intervals
-from .blocks import det_blocks
 
 
 @kernel("template_offset_add_to_signal", ImplementationType.NUMPY)
@@ -19,9 +18,5 @@ def template_offset_add_to_signal(
     flat = flatten_intervals(starts, stops)
     if flat.size == 0:
         return
-    step = (flat // step_length)[None, :]
-
-    def body(lo, hi):
-        tod[lo:hi, flat] += amplitudes[amp_offsets[lo:hi, None] + step]
-
-    det_blocks(len(tod), flat.size, body)
+    amp = amp_offsets[:, None] + flat[None, :] // step_length
+    tod[:, flat] += amplitudes[amp]

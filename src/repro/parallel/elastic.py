@@ -51,12 +51,7 @@ from ..obs import state as obs_state
 from ..obs.events import ClockDomain, Event, EventType
 from ..resilience import state as res_state
 from ..resilience.faults import FaultKind
-from .engine import (
-    CRASH_EXIT_CODE,
-    ProcessEngine,
-    one_kernel_thread,
-    replay_worker_events,
-)
+from .engine import CRASH_EXIT_CODE, ProcessEngine, replay_worker_events
 
 __all__ = [
     "ElasticConfig",
@@ -207,7 +202,6 @@ def _pool_worker_entry(conn, wid: int, heartbeat_s: float, task_fn, args, cleanu
 
     from .. import obs as _obs
 
-    one_kernel_thread()
     send_lock = threading.Lock()
     state: Dict[str, Any] = {"task": None, "mute": False}
     stop_beats = threading.Event()

@@ -52,18 +52,8 @@ class ShardOutcome:
     crash_injected: bool = False
 
 
-def one_kernel_thread() -> None:
-    """Run this worker process's ``numpy_cpu`` kernels on one thread.
-
-    The workers already fill the CPUs one process each; detector-block
-    threads inside every worker would oversubscribe them.
-    """
-    os.environ["OMP_NUM_THREADS"] = "1"
-
-
 def _worker_entry(conn, worker: Callable, rank: int, obs_indices, args, crash: bool):
     """Child-process entry: run the shard, ship the result, exit."""
-    one_kernel_thread()
     try:
         result = worker(rank, list(obs_indices), *args, crash=crash)
         conn.send((rank, result))

@@ -27,17 +27,6 @@ DET_COUNTS = [1, 3, 17]
 INTERVAL_KINDS = ["irregular", "full", "empty"]
 
 
-@pytest.fixture(autouse=True)
-def small_blocks(monkeypatch):
-    """Two detectors per block at these sample counts.
-
-    The default blocks hold more lanes than any case here, so without
-    this every kernel would run as one block on the calling thread, and
-    ``OMP_NUM_THREADS`` would not split the work.
-    """
-    monkeypatch.setattr(blocks, "BLOCK_LANES", 240)
-
-
 def _assert_bitwise(name, py_outs, np_outs):
     assert len(py_outs) == len(np_outs)
     for a, b in zip(py_outs, np_outs):
@@ -75,20 +64,26 @@ def test_numpy_matches_python_without_flags(kernel):
 @pytest.mark.parametrize("intervals", INTERVAL_KINDS)
 @pytest.mark.parametrize("n_det", DET_COUNTS)
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_numpy_bitwise_at_every_thread_count(
+def test_numpy_bitwise_at_every_block_size(
     kernel, n_det, intervals, with_flags, monkeypatch
 ):
-    """Detector-block threading never changes a bit, even with uneven blocks."""
+    """Cache blocking never changes a bit, even when the last block is short.
+
+    The default blocks hold more lanes than any case here, so the sweep
+    shrinks them to one detector, to about two and three (uneven against
+    17 detectors), and keeps the default single block.
+    """
     factory = kernel_cases(
         n_det=n_det, n_samp=120, intervals=intervals, with_flags=with_flags
     )[kernel]
     py = run_kernel_case(kernel, ImplementationType.PYTHON, factory)
-    runs = {}
-    for threads in sorted({1, 2, 3, n_det + 1}):
-        monkeypatch.setenv("OMP_NUM_THREADS", str(threads))
-        runs[threads] = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
-        _assert_bitwise(kernel, runs[1], runs[threads])
-        _assert_bitwise(kernel, py, runs[threads])
+    whole = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
+    _assert_bitwise(kernel, py, whole)
+    for lanes in (1, 240, 360):
+        monkeypatch.setattr(blocks, "BLOCK_LANES", lanes)
+        split = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
+        _assert_bitwise(kernel, whole, split)
+        _assert_bitwise(kernel, py, split)
 
 
 def test_empty_intervals_leave_outputs_untouched():

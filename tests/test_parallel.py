@@ -191,56 +191,6 @@ class TestDeterminism:
         np.testing.assert_allclose(serial, parallel["zmap"], rtol=1e-12, atol=1e-12)
 
 
-def _report_kernel_threads(rank, obs_indices, crash=False):
-    from repro.kernels.numpy_cpu.blocks import n_threads
-
-    return {"threads": n_threads()}
-
-
-def _write_kernel_threads(wid, task_id, root):
-    from pathlib import Path
-
-    from repro.kernels.numpy_cpu.blocks import n_threads
-
-    Path(root, f"task_{task_id}").write_text(str(n_threads()))
-
-
-class TestKernelThreads:
-    """Workers run ``numpy`` kernels on one thread; maps never notice."""
-
-    def test_static_workers_use_one_kernel_thread(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        outcomes = ProcessEngine().map_shards(
-            _report_kernel_threads, [(0, [0]), (1, [1])]
-        )
-        assert [o.result["threads"] for o in outcomes] == [1, 1]
-        assert not any(o.recovered for o in outcomes)
-
-    def test_elastic_workers_use_one_kernel_thread(self, monkeypatch, tmp_path):
-        from repro.parallel import ElasticPool
-
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        pool = ElasticPool(
-            _write_kernel_threads, args=(tmp_path,), n_workers=2, config=TIGHT
-        )
-        assert pool.run(["a", "b", "c"]).complete
-        assert {p.read_text() for p in tmp_path.iterdir()} == {"1"}
-
-    def test_threaded_parent_shard_matches_workers_bitwise(self, monkeypatch):
-        """A shard recomputed by the parent's threaded kernels, uneven
-        one-detector blocks on 3 threads, equals the workers' maps."""
-        from repro.kernels.numpy_cpu import blocks
-
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.setattr(blocks, "BLOCK_LANES", 1)
-        one, two = _run(1), _run(2)
-        assert one["zmap"].tobytes() == two["zmap"].tobytes()
-        with resilience.resilient(named_plan("worker-crash", seed=5)):
-            recovered = _run(2, scheduler="static")
-        assert recovered["recovered_ranks"], "plan should have fired"
-        assert recovered["zmap"].tobytes() == one["zmap"].tobytes()
-
-
 class TestCrashRecovery:
     def test_injected_crash_recovers_bitwise(self):
         clean = _run(2)
