@@ -10,6 +10,7 @@ from repro.jaxshim.errors import (
     TracerArrayConversionError,
     TracerError,
 )
+from repro.utils import blocking
 
 
 @pytest.fixture(autouse=True)
@@ -356,3 +357,70 @@ class TestGraphOptimization:
 
         x = np.linspace(0, 1, 9)
         assert np.allclose(jit(f)(x), f(x))
+
+
+def _chain(x):
+    """An elementwise chain long enough that its group is worth tiling."""
+    return jnp.cos(jnp.sin(x) * 2.0 + x) * jnp.exp(-x * x)
+
+
+class TestBlockedExecution:
+    """Fusion groups run as row tiles of their leading axis; a group that
+    breaks the tiling rules runs as a single tile.  Either way the result
+    is bitwise the eager one at every tile size."""
+
+    X = np.random.default_rng(0).standard_normal((7, 5))
+
+    def _check(self, fn, args, monkeypatch):
+        expect = np.asarray(fn(*args))
+        jf = jit(fn)
+        # 1 row, 2 rows (short last tile), 3 rows, and one tile of all rows.
+        for lanes in (1, 10, 15, 1 << 40):
+            monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
+            assert np.asarray(jf(*args)).tobytes() == expect.tobytes()
+        monkeypatch.setattr(blocking, "BLOCK_LANES", 10)
+        return jf.compiled_for(*args)
+
+    def test_chain_runs_in_row_tiles(self, monkeypatch):
+        plans = self._check(_chain, (self.X,), monkeypatch).plans
+        assert len(plans) == 1
+        assert plans[0].n_rows == 7 and plans[0].rows_per_tile() == 2
+        assert len(plans[0].steps) > 4
+
+    def test_non_leading_transpose_and_reduction_stay_tiled(self, monkeypatch):
+        x3 = np.random.default_rng(1).standard_normal((7, 4, 5))
+
+        def f(x):
+            y = jnp.transpose(_chain(x), (0, 2, 1))
+            return jnp.sum(y * y, axis=2) + jnp.max(y, axis=(1, 2))[:, None]
+
+        plans = self._check(f, (x3,), monkeypatch).plans
+        assert any(p.rows_per_tile() < p.n_rows for p in plans)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: jnp.sum(_chain(x), axis=0),
+            lambda x: jnp.transpose(_chain(x)) * 3.0,
+            lambda x: jnp.take(_chain(x), np.array([6, 0, 3, 3, 1, 2, 5]), axis=0) * 3.0,
+        ],
+        ids=["axis0_reduction", "transpose_moving_axis0", "in_group_gather_table"],
+    )
+    def test_rule_breaking_group_runs_as_one_tile(self, fn, monkeypatch):
+        plans = self._check(fn, (self.X,), monkeypatch).plans
+        assert len(plans) == 1 and len(plans[0].steps) > 4
+        assert plans[0].rows_per_tile() == plans[0].n_rows
+
+    def test_escaping_values_are_released_once(self, monkeypatch):
+        def f(x, idx):
+            y = _chain(x)
+            z = jnp.scatter_add(y, idx, 1.0)  # a scatter: its own group
+            return jnp.sin(z) + y
+
+        exe = self._check(f, (self.X, np.array([0, 3])), monkeypatch)
+        assert len(exe.plans) == 3
+        released = [k for p in exe.plans for k in p.release]
+        outs = {a.uid for a in exe.graph.out_atoms}
+        materialized = {s.out for p in exe.plans for s in p.steps if s.escapes}
+        assert len(released) == len(set(released))
+        assert set(released) == materialized - outs

@@ -6,6 +6,8 @@ the core contracts:
 * ``jit(f)(x) == f(x)``        (compilation preserves semantics)
 * ``vmap(f)(xs) == stack(map(f, xs))``   (batching preserves semantics)
 * graph optimization passes never change results.
+* blocked execution: ``jit`` is bitwise un-jitted evaluation at any tile
+  size.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jaxshim import config, jit, jnp, vmap
+from repro.utils import blocking
 
 N = 6  # vector length of generated programs
 B = 4  # vmap batch size
@@ -167,6 +170,25 @@ class TestScatterGatherProperties:
         np.testing.assert_allclose(eager, expect, rtol=1e-12)
         np.testing.assert_allclose(compiled, expect, rtol=1e-12)
 
+        # 2-D operands scatter column by column: bitwise equal to the 2-D
+        # ``ufunc.at`` in every mode, duplicate rows included.
+        rows = np.concatenate([idx_arr, idx_arr[:1]])  # at least one duplicate
+        base_2d = np.stack([base, -base, 0.5 * base], axis=1)
+        upd_2d = np.concatenate([val_arr, val_arr[:1]])[:, None] * np.array([1.0, -2.0, 0.25])
+        for mode, ufunc in [
+            ("add", np.add),
+            ("multiply", np.multiply),
+            ("min", np.minimum),
+            ("max", np.maximum),
+        ]:
+            update = jit(lambda b, i, v: getattr(b.at[i], mode)(v))
+            # Updates that broadcast along rows take the same path.
+            for upd in (upd_2d, upd_2d[0]):
+                expect = base_2d.copy()
+                ufunc.at(expect, rows, upd)
+                got = np.asarray(update(base_2d, rows, upd))
+                assert got.tobytes() == expect.tobytes(), mode
+
     @settings(max_examples=60, deadline=None)
     @given(
         idx=st.lists(st.integers(-2, N + 2), min_size=1, max_size=8),
@@ -196,3 +218,60 @@ class TestScatterGatherProperties:
         jnp.scatter_set(base, np.array([0]), np.array([99.0]))
         jit(lambda b: b.at[0].set(99.0))(base)
         np.testing.assert_array_equal(base, snapshot)
+
+
+R = 7  # rows of the blocked-execution programs: uneven against 2 and 3
+_PERM = np.array([3, 0, 5, 1, 4, 2])
+
+# Per-row steps (v, w) -> length-N vector, one per op family the row
+# tiles handle (elementwise, gather, slice, reshape, concatenate,
+# broadcast); under vmap each becomes a chain over a leading row axis.
+_ROW_STEPS = [
+    lambda v, w: jnp.sin(v) * w + 1.0,
+    lambda v, w: jnp.where(v > w, jnp.cos(v), jnp.clip(w, -1.0, 1.0)),
+    lambda v, w: jnp.take(v, _PERM) - w,
+    lambda v, w: jnp.concatenate([v[2:], w[:2]]) * 0.5,
+    lambda v, w: jnp.reshape(
+        jnp.reshape(v, (2, N // 2)) * 0.5 + jnp.reshape(w, (2, N // 2))[::-1], (N,)
+    ),
+    lambda v, w: jnp.sum(
+        jnp.broadcast_to(v, (3, N)) * jnp.reshape(jnp.arange(1.0, 4.0), (3, 1)), axis=0
+    )
+    - w,
+    lambda v, w: jnp.astype(jnp.astype(v * 10.0, jnp.int64), jnp.float64) + jnp.max(w),
+]
+
+
+@st.composite
+def row_programs(draw):
+    """A random per-row chain over two vector inputs; returns its last
+    value and one intermediate, so groups have more than one output."""
+    steps = draw(st.lists(st.integers(0, len(_ROW_STEPS) - 1), min_size=2, max_size=8))
+
+    def f(x, y):
+        vals = [x, y]
+        for i in steps:
+            vals.append(_ROW_STEPS[i](vals[-1], vals[-2]))
+        return vals[-1], vals[len(vals) // 2]
+
+    return f
+
+
+class TestBlockedExecution:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=row_programs(),
+        data=st.lists(st.tuples(finite_vectors, finite_vectors), min_size=R, max_size=R),
+    )
+    def test_vmap_jit_is_bitwise_eager_at_every_block_size(self, f, data):
+        xs = np.stack([d[0] for d in data])
+        ys = np.stack([d[1] for d in data])
+        eager = vmap(f)(xs, ys)
+        jf = jit(vmap(f))
+        # 1 row, 2 and 3 rows (short last tiles), and one tile of all rows.
+        for lanes in (1, 2 * N, 3 * N, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blocking, "BLOCK_LANES", lanes)
+                got = jf(xs, ys)
+            for a, b in zip(eager, got):
+                assert np.asarray(b).tobytes() == np.asarray(a).tobytes()

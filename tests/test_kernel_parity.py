@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.dispatch import ImplementationType
 from repro.kernels import kernel_registry
-from repro.kernels.numpy_cpu import blocks
+from repro.utils import blocking
 from repro.workflows.microbench import kernel_cases, make_intervals, run_kernel_case
 
 # Registry-driven, not hand-enumerated: every registered kernel whose spec
@@ -80,10 +80,34 @@ def test_numpy_bitwise_at_every_block_size(
     whole = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
     _assert_bitwise(kernel, py, whole)
     for lanes in (1, 240, 360):
-        monkeypatch.setattr(blocks, "BLOCK_LANES", lanes)
+        monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
         split = run_kernel_case(kernel, ImplementationType.NUMPY, factory)
         _assert_bitwise(kernel, whole, split)
         _assert_bitwise(kernel, py, split)
+
+
+@pytest.mark.parametrize("with_flags", [True, False])
+@pytest.mark.parametrize("intervals", INTERVAL_KINDS)
+@pytest.mark.parametrize("n_det", DET_COUNTS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_jax_bitwise_at_every_block_size(
+    kernel, n_det, intervals, with_flags, monkeypatch
+):
+    """jaxshim's row tiles never change a bit, even when the last tile is short.
+
+    The default tiles hold every row of these cases, so each fusion group
+    runs as one tile.  The sweep shrinks the tiles to one row and to a
+    few rows (2 to 12 by group width, uneven against 17 detectors), and
+    grows them past any group.
+    """
+    factory = kernel_cases(
+        n_det=n_det, n_samp=120, intervals=intervals, with_flags=with_flags
+    )[kernel]
+    whole = run_kernel_case(kernel, ImplementationType.JAX, factory)
+    for lanes in (1, 240, 360, 960, 1440, 1 << 40):
+        monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
+        tiled = run_kernel_case(kernel, ImplementationType.JAX, factory)
+        _assert_bitwise(kernel, whole, tiled)
 
 
 def test_empty_intervals_leave_outputs_untouched():
