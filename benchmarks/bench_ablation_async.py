@@ -25,7 +25,7 @@ def run(nowait: bool) -> float:
         rt.target_teams_distribute_parallel_for(
             "pipeline_kernel",
             GRID,
-            lambda i, j, k: None,
+            lambda lo, hi: None,
             bytes_per_iteration=400.0,
             nowait=nowait,
         )

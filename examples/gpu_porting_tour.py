@@ -25,6 +25,7 @@ from repro.jaxshim import (
     jnp,
     vmap,
 )
+from repro.kernels.common import flatten_intervals
 from repro.ompshim import NotPresentError, OmpTargetRuntime
 
 
@@ -127,19 +128,23 @@ def omp_side() -> None:
         print(f"\n[target data] host copy during region (stale): {x[:4]}")
     print(f"[target data] host copy after region (copied back): {x[:4]}")
 
-    # 3. The collapsed triple loop with the interval guard.
-    tod = np.zeros((2, 3, 10))
-    stops = np.array([10, 4, 7])
+    # 3. The collapsed triple loop with the interval guard.  The device is
+    # charged for the padded (detector, interval, sample) grid; the host
+    # runs body(lo, hi) over blocks of detector rows, touching only the
+    # in-interval samples.
+    tod = np.zeros((2, 30))
+    starts, stops = np.array([0, 10, 20]), np.array([10, 14, 27])
+    flat = flatten_intervals(starts, stops)  # the guard, once per launch
     with rt.target_data(tofrom=[tod]):
         d = rt.device_view(tod)
 
-        def body(idet, iivl, lanes):
-            valid = lanes[lanes < stops[iivl]]  # the in-loop guard
-            d[idet, iivl, valid] = idet + 1
+        def body(lo, hi):
+            d[lo:hi, flat] = np.arange(lo, hi)[:, None] + 1
 
         rt.target_teams_distribute_parallel_for("demo_kernel", (2, 3, 10), body)
+    touched = [int((tod[0, a:b] != 0).sum()) for a, b in zip(starts, starts + 10)]
     print(f"\n[collapse(3)] samples touched per interval: "
-          f"{(tod[0] != 0).sum(axis=1)} (guard stops at {stops.tolist()})")
+          f"{touched} (interval lengths {(stops - starts).tolist()})")
 
     # 4. The device accounting that feeds the figures.
     print("\n[device accounting]")

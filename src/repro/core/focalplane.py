@@ -8,6 +8,7 @@ angles, and noise parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -70,9 +71,36 @@ class Focalplane:
         )
 
     def detector_weights(self) -> np.ndarray:
-        """Inverse-variance detector weights, ordered like ``detectors``."""
-        nm = self.noise_model(n_freq=64)
-        return np.array([nm.detector_weight(d) for d in self.detectors])
+        """Inverse-variance detector weights, ordered like ``detectors``.
+
+        Computed once per distinct set of noise parameters (the cache is
+        keyed on their values, so a changed focalplane never reads stale
+        weights); each call returns a fresh array.
+        """
+        dets = tuple(self.detectors)
+        return _detector_weights(
+            self.sample_rate,
+            dets,
+            tuple(self.net.get(d, 1.0) for d in dets),
+            tuple(self.fknee.get(d, 0.05) for d in dets),
+            tuple(self.fmin.get(d, 1.0e-5) for d in dets),
+            tuple(self.alpha.get(d, 1.0) for d in dets),
+        ).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _detector_weights(sample_rate, detectors, net, fknee, fmin, alpha) -> np.ndarray:
+    """:meth:`Focalplane.detector_weights` for one set of parameter values."""
+    nm = AnalyticNoiseModel(
+        rate=sample_rate,
+        detector_names=detectors,
+        net=dict(zip(detectors, net)),
+        fknee=dict(zip(detectors, fknee)),
+        fmin=dict(zip(detectors, fmin)),
+        alpha=dict(zip(detectors, alpha)),
+        n_freq=64,
+    )
+    return np.array([nm.detector_weight(d) for d in detectors])
 
 
 def _hex_positions(n_pixels: int, width_rad: float) -> np.ndarray:

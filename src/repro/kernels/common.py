@@ -6,6 +6,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..utils.blocking import det_blocks
+
 __all__ = [
     "check_intervals",
     "pad_intervals",
@@ -197,16 +199,18 @@ def resolve_view(accel, arr: np.ndarray, use_accel: bool) -> np.ndarray:
 def host_parallel_for_collapse3(
     name: str,
     grid: Tuple[int, int, int],
-    body: Callable[[int, int, np.ndarray], None],
+    body: Callable[[int, int], None],
     flops_per_iteration: float = 10.0,
     bytes_per_iteration: float = 24.0,
 ) -> None:
-    """Host fallback of the collapse(3) launcher (no device, no charge)."""
+    """Host fallback of the collapse(3) launcher (no device, no charge).
+
+    Runs ``body(lo, hi)`` over cache-sized blocks of outer rows, exactly
+    as the device launcher does; an empty grid runs nothing.
+    """
     n_outer, n_middle, n_inner = (int(g) for g in grid)
-    k_vec = np.arange(n_inner, dtype=np.int64)
-    for i in range(n_outer):
-        for j in range(n_middle):
-            body(i, j, k_vec)
+    if n_outer > 0 and n_middle > 0 and n_inner > 0:
+        det_blocks(n_outer, n_middle * n_inner, body)
 
 
 def launcher_for(accel, use_accel: bool) -> Callable:

@@ -9,8 +9,8 @@ oracle.
 * **Cache-sized detector blocks.**  ``pointing_detector``,
   ``pixels_healpix``, ``stokes_weights_IQU`` and ``scan_map`` write
   disjoint per-detector rows through full-size temporaries, so
-  :func:`~.blocks.det_blocks` runs them over detector blocks that keep
-  those temporaries in cache.  Per-sample terms -- flags, the
+  :func:`~repro.utils.blocking.det_blocks` runs them over detector
+  blocks that keep those temporaries in cache.  Per-sample terms -- flags, the
   ``2 * hwp`` angle, boresight rows -- are computed once, outside the
   blocks.  Each lane's arithmetic is unchanged, so the bytes do not
   depend on how the blocks fall.

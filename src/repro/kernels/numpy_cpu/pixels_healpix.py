@@ -11,7 +11,7 @@ from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
 from ...math import qa
 from ..common import flatten_intervals
-from .blocks import det_blocks
+from ...utils.blocking import det_blocks
 
 
 @kernel("pixels_healpix", ImplementationType.NUMPY)

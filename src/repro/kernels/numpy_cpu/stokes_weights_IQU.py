@@ -10,7 +10,7 @@ import numpy as np
 from ...core.dispatch import ImplementationType, kernel
 from ...math import qa
 from ..common import flatten_intervals
-from .blocks import det_blocks
+from ...utils.blocking import det_blocks
 
 
 @kernel("stokes_weights_IQU", ImplementationType.NUMPY)

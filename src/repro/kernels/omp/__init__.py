@@ -3,9 +3,12 @@
 Each kernel keeps the compiled-CPU loop structure and adds the offload
 machinery (paper §3.1.2): the triple (detector, interval, sample) loop is
 collapsed and launched over the device through
-``target_teams_distribute_parallel_for``; intervals are iterated at the
-precomputed maximum interval size with an in-loop guard cutting
-out-of-interval work; data is dereferenced through mapped device pointers.
+``target_teams_distribute_parallel_for``, which charges the grid padded to
+the precomputed maximum interval size; the guard cutting out-of-interval
+work is evaluated once per launch (``flatten_intervals``), and the body
+runs over blocks of detector rows, touching only in-interval samples;
+data is dereferenced through mapped device pointers.  Each body keeps its
+reference's accumulation order, so results do not depend on the blocks.
 
 Without a runtime (``use_accel=False``) the kernels run on the host --
 OpenMP's fallback behaviour when no device is available.

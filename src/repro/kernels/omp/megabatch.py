@@ -1,28 +1,37 @@
 """Megabatch (observation-stacked) OpenMP Target Offload kernels.
 
 One launcher call covers the whole observation group: the collapse(3)
-grid's outer dimension becomes ``n_obs * n_det`` and each iteration
-derives ``(iobs, idet)`` by division — the OpenMP way of stacking a
-batch axis without changing the loop nest (cf. the paper's collapse
-clauses).  Intervals arrive as ``(n_obs, n_ivl)`` padded slabs whose
-degenerate ``(0, 0)`` rows contribute no valid lanes, so observations
-with fewer (or zero) intervals cost only empty guard slices.
+grid's outer dimension becomes ``n_obs * n_det`` -- the OpenMP way of
+stacking a batch axis without changing the loop nest (cf. the paper's
+collapse clauses).  Intervals arrive as ``(n_obs, n_ivl)`` padded slabs
+whose degenerate ``(0, 0)`` rows contribute no lanes, so observations
+with fewer (or zero) intervals cost nothing.
 
-Scatter kernels keep the eager accumulation sequence: the grid iterates
-observation-major with each observation's canonical order inside
-(``build_noise_weighted`` buffers contributions and commits one ordered
-``np.add.at`` in observation-major, sample-major, detector-inner
-order), so stacking is bitwise identical to running the group members
-one at a time.
+Each observation runs the eager kernel's row body over its own slice of
+the stacked arrays and its own in-interval samples; a row block of the
+stacked grid that spans several observations hands each one its rows
+(:func:`_stacked`).  Blocks run in ascending row order, so scatter
+kernels keep the eager accumulation sequence: observation-major with
+each observation's canonical order inside (``build_noise_weighted``
+commits observation by observation after the launch, sample-major,
+detector-inner), and stacking is bitwise identical to running the group
+members one at a time.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, megabatch_kernel
-from ...healpix import ang2pix
-from ..common import launcher_for, resolve_view
-from .pointing_detector import _qa_mult_one
-from .stokes_weights_IQU import _position_angle
+from ..common import flatten_intervals, launcher_for, resolve_view
+from . import (
+    build_noise_weighted as _bnw,
+    cov_accum as _cov,
+    noise_weight as _nw,
+    pixels_healpix as _pix,
+    pointing_detector as _pd,
+    scan_map as _scan,
+    stokes_weights_I as _swi,
+    stokes_weights_IQU as _swiqu,
+)
 
 OMP = ImplementationType.OMP_TARGET
 
@@ -34,6 +43,36 @@ def _grid(starts, stops, n_det):
     max_len = int(np.max(stops - starts)) if starts.size else 0
     max_len = max(max_len, 0)
     return n_obs, (n_obs * n_det, n_ivl, max_len)
+
+
+def _flats(starts, stops, n_obs):
+    """Each observation's in-interval samples (the interval guard)."""
+    return [flatten_intervals(starts[o], stops[o]) for o in range(n_obs)]
+
+
+def _flagged(shared_flags, mask, flats):
+    """Per-observation masks of the samples in ``flats`` the shared flags cut.
+
+    None per observation when the flags are unused.
+    """
+    if shared_flags is None or not mask:
+        return [None] * len(flats)
+    return [(shared_flags[o, flat] & mask) != 0 for o, flat in enumerate(flats)]
+
+
+def _stacked(bodies, n_det):
+    """``body(lo, hi)`` over stacked ``(obs, det)`` rows.
+
+    Rows ``[lo, hi)`` may span several observations; each gets its own
+    detector rows, in ascending order.
+    """
+
+    def body(lo, hi):
+        for iobs in range(lo // n_det, (hi - 1) // n_det + 1):
+            base = iobs * n_det
+            bodies[iobs](max(lo - base, 0), min(hi - base, n_det))
+
+    return body
 
 
 @megabatch_kernel("pointing_detector", OMP)
@@ -52,22 +91,16 @@ def pointing_detector(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        rotated = _qa_mult_one(boresight[iobs, s], fp_quats[iobs, idet])
-        if shared_flags is not None and mask:
-            flagged = (shared_flags[iobs, s] & mask) != 0
-            rotated = np.where(flagged[:, None], fp_quats[iobs, idet], rotated)
-        quats_out[iobs, idet, s] = rotated
-
+    flats = _flats(starts, stops, n_obs)
+    flagged = _flagged(shared_flags, mask, flats)
+    bodies = [
+        _pd.row_body(fp_quats[o], boresight[o], quats_out[o], flats[o], flagged[o])
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "pointing_detector.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=28.0,
         bytes_per_iteration=72.0,
     )
@@ -86,18 +119,12 @@ def stokes_weights_I(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        weights_out[iobs, idet, s] = cal
-
+    flats = _flats(starts, stops, n_obs)
+    bodies = [_swi.row_body(weights_out[o], cal, flats[o]) for o in range(n_obs)]
     launcher_for(accel, use_accel)(
         "stokes_weights_I.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=1.0,
         bytes_per_iteration=8.0,
     )
@@ -119,24 +146,22 @@ def stokes_weights_IQU(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        eta = (1.0 - epsilon[iobs, idet]) / (1.0 + epsilon[iobs, idet])
-        angle = _position_angle(quats[iobs, idet, s])
-        if hwp_angle is not None:
-            angle = angle + 2.0 * hwp_angle[iobs, s]
-        weights_out[iobs, idet, s, 0] = cal
-        weights_out[iobs, idet, s, 1] = cal * eta * np.cos(2.0 * angle)
-        weights_out[iobs, idet, s, 2] = cal * eta * np.sin(2.0 * angle)
-
+    flats = _flats(starts, stops, n_obs)
+    bodies = [
+        _swiqu.row_body(
+            quats[o],
+            weights_out[o],
+            None if hwp_angle is None else hwp_angle[o],
+            epsilon[o],
+            cal,
+            flats[o],
+        )
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "stokes_weights_IQU.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=60.0,
         bytes_per_iteration=64.0,
     )
@@ -159,29 +184,16 @@ def pixels_healpix(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        q = quats[iobs, idet, s]
-        x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        dir_x = 2.0 * (x * z + w * y)
-        dir_y = 2.0 * (y * z - w * x)
-        dir_z = 1.0 - 2.0 * (x * x + y * y)
-        theta = np.arccos(np.clip(dir_z, -1.0, 1.0))
-        phi = np.arctan2(dir_y, dir_x)
-        pix = ang2pix(nside, theta, phi, nest=nest)
-        if shared_flags is not None and mask:
-            flagged = (shared_flags[iobs, s] & mask) != 0
-            pix = np.where(flagged, np.int64(-1), pix)
-        pixels_out[iobs, idet, s] = pix
-
+    flats = _flats(starts, stops, n_obs)
+    flagged = _flagged(shared_flags, mask, flats)
+    bodies = [
+        _pix.row_body(quats[o], pixels_out[o], nside, nest, flats[o], flagged[o])
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "pixels_healpix.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=80.0,
         bytes_per_iteration=48.0,
     )
@@ -206,29 +218,18 @@ def scan_map(
     if grid[2] == 0:
         return
     d_map = resolve_view(accel, map_data, use_accel)
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        pix = pixels[iobs, idet, s]
-        good = pix >= 0
-        value = np.einsum(
-            "sk,sk->s", d_map[np.where(good, pix, 0)], weights[iobs, idet, s]
+    flats = _flats(starts, stops, n_obs)
+    bodies = [
+        _scan.row_body(
+            d_map, pixels[o], weights[o], tod[o], flats[o],
+            data_scale, should_zero, should_subtract,
         )
-        value = np.where(good, value, 0.0) * data_scale
-        if should_zero:
-            tod[iobs, idet, s] = 0.0
-        if should_subtract:
-            tod[iobs, idet, s] -= value
-        else:
-            tod[iobs, idet, s] += value
-
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "scan_map.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=8.0,
         bytes_per_iteration=72.0,
     )
@@ -247,18 +248,12 @@ def noise_weight(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        tod[iobs, idet, s] *= det_weights[iobs, idet]
-
+    flats = _flats(starts, stops, n_obs)
+    bodies = [_nw.row_body(tod[o], det_weights[o], flats[o]) for o in range(n_obs)]
     launcher_for(accel, use_accel)(
         "noise_weight.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=1.0,
         bytes_per_iteration=16.0,
     )
@@ -282,48 +277,29 @@ def build_noise_weighted(
 ):
     n_det = pixels.shape[1]
     n_obs, grid = _grid(starts, stops, n_det)
-    n_ivl, max_len = grid[1], grid[2]
-    if max_len == 0:
+    if grid[2] == 0:
         return
     d_zmap = resolve_view(accel, zmap, use_accel)
-    nnz = d_zmap.shape[1]
-    # Padded lanes stay (pixel 0, contribution 0.0): a no-op add.
-    pix_buf = np.zeros((n_obs, n_det, n_ivl, max_len), dtype=np.int64)
-    contrib_buf = np.zeros(
-        (n_obs, n_det, n_ivl, max_len, nnz), dtype=d_zmap.dtype
-    )
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        valid = lanes < stop - start
-        s = start + lanes[valid]
-        pix = pixels[iobs, idet, s]
-        good = pix >= 0
-        if shared_flags is not None and mask:
-            good = good & ((shared_flags[iobs, s] & mask) == 0)
-        if det_flags is not None and det_mask:
-            good = good & ((det_flags[iobs, idet, s] & det_mask) == 0)
-        z = det_scale[iobs, idet] * tod[iobs, idet, s]
-        pix_buf[iobs, idet, iivl, valid] = np.where(good, pix, 0)
-        contrib_buf[iobs, idet, iivl, valid] = np.where(
-            good[:, None], z[:, None] * weights[iobs, idet, s], 0.0
+    flats = _flats(starts, stops, n_obs)
+    flagged = _flagged(shared_flags, mask, flats)
+    pairs = [
+        _bnw.row_body(
+            d_zmap, pixels[o], weights[o], tod[o], det_scale[o], flats[o],
+            flagged[o], None if det_flags is None else det_flags[o], det_mask,
         )
-
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "build_noise_weighted.megabatch",
         grid,
-        body,
+        _stacked([body for body, _ in pairs], n_det),
         flops_per_iteration=10.0,
         bytes_per_iteration=96.0,
     )
-
     # Ordered commit: observation-major, then each observation's
     # canonical sample-major detector-inner sequence.
-    pix_all = pix_buf.transpose(0, 2, 3, 1).reshape(-1)
-    contrib_all = contrib_buf.transpose(0, 2, 3, 1, 4).reshape(-1, nnz)
-    np.add.at(d_zmap, pix_all, contrib_all)
+    for _, commit in pairs:
+        commit()
 
 
 @megabatch_kernel("cov_accum_diag_hits", OMP)
@@ -340,20 +316,12 @@ def cov_accum_diag_hits(
     if grid[2] == 0:
         return
     d_hits = resolve_view(accel, hits, use_accel)
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        pix = pixels[iobs, idet, s]
-        good = pix >= 0
-        np.add.at(d_hits, pix[good], 1)
-
+    flats = _flats(starts, stops, n_obs)
+    bodies = [_cov.hits_body(d_hits, pixels[o], flats[o]) for o in range(n_obs)]
     launcher_for(accel, use_accel)(
         "cov_accum_diag_hits.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=2.0,
         bytes_per_iteration=24.0,
     )
@@ -374,27 +342,16 @@ def cov_accum_diag_invnpp(
     n_obs, grid = _grid(starts, stops, n_det)
     if grid[2] == 0:
         return
-    nnz = weights.shape[3]
-    tri = [(i, j) for i in range(nnz) for j in range(i, nnz)]
     d_inv = resolve_view(accel, invnpp, use_accel)
-
-    def body(i, iivl, lanes):
-        iobs, idet = divmod(i, n_det)
-        start = starts[iobs, iivl]
-        stop = stops[iobs, iivl]
-        s = start + lanes[lanes < stop - start]
-        pix = pixels[iobs, idet, s]
-        good = pix >= 0
-        p = pix[good]
-        w = weights[iobs, idet, s][good]
-        g = det_scale[iobs, idet]
-        outer = np.stack([g * w[:, i] * w[:, j] for i, j in tri], axis=1)
-        np.add.at(d_inv, p, outer)
-
+    flats = _flats(starts, stops, n_obs)
+    bodies = [
+        _cov.invnpp_body(d_inv, pixels[o], weights[o], det_scale[o], flats[o])
+        for o in range(n_obs)
+    ]
     launcher_for(accel, use_accel)(
         "cov_accum_diag_invnpp.megabatch",
         grid,
-        body,
+        _stacked(bodies, n_det),
         flops_per_iteration=18.0,
         bytes_per_iteration=104.0,
     )

@@ -3,7 +3,16 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
+
+
+def row_body(tod, det_weights, flat):
+    """``body(lo, hi)`` over detector rows of one observation."""
+
+    def body(lo, hi):
+        tod[lo:hi, flat] *= det_weights[lo:hi, None]
+
+    return body
 
 
 @kernel("noise_weight", ImplementationType.OMP_TARGET)
@@ -24,16 +33,10 @@ def noise_weight(
     d_tod = resolve_view(accel, tod, use_accel)
     d_w = resolve_view(accel, det_weights, use_accel)
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        d_tod[idet, s] *= d_w[idet]
-
     launcher_for(accel, use_accel)(
         "noise_weight",
         (n_det, n_ivl, max_len),
-        body,
+        row_body(d_tod, d_w, flatten_intervals(starts, stops)),
         flops_per_iteration=1.0,
         bytes_per_iteration=16.0,
     )

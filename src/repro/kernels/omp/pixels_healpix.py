@@ -9,7 +9,30 @@ import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
 from ...healpix import ang2pix
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
+
+
+def row_body(quats, pixels_out, nside, nest, flat, flagged):
+    """``body(lo, hi)`` over detector rows of one observation.
+
+    ``flagged`` (or None) marks the in-interval samples the shared flags
+    cut; they get pixel -1.
+    """
+
+    def body(lo, hi):
+        q = np.take(quats[lo:hi], flat, axis=1)
+        x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+        dir_x = 2.0 * (x * z + w * y)
+        dir_y = 2.0 * (y * z - w * x)
+        dir_z = 1.0 - 2.0 * (x * x + y * y)
+        theta = np.arccos(np.clip(dir_z, -1.0, 1.0))
+        phi = np.arctan2(dir_y, dir_x)
+        pix = ang2pix(nside, theta, phi, nest=nest)
+        if flagged is not None:
+            pix = np.where(flagged, np.int64(-1), pix)
+        pixels_out[lo:hi, flat] = pix
+
+    return body
 
 
 @kernel("pixels_healpix", ImplementationType.OMP_TARGET)
@@ -35,27 +58,12 @@ def pixels_healpix(
     d_out = resolve_view(accel, pixels_out, use_accel)
     d_flags = resolve_view(accel, shared_flags, use_accel) if shared_flags is not None else None
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        q = d_quats[idet, s]
-        x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        dir_x = 2.0 * (x * z + w * y)
-        dir_y = 2.0 * (y * z - w * x)
-        dir_z = 1.0 - 2.0 * (x * x + y * y)
-        theta = np.arccos(np.clip(dir_z, -1.0, 1.0))
-        phi = np.arctan2(dir_y, dir_x)
-        pix = ang2pix(nside, theta, phi, nest=nest)
-        if d_flags is not None and mask:
-            flagged = (d_flags[s] & mask) != 0
-            pix = np.where(flagged, np.int64(-1), pix)
-        d_out[idet, s] = pix
-
+    flat = flatten_intervals(starts, stops)
+    flagged = (d_flags[flat] & mask) != 0 if d_flags is not None and mask else None
     launcher_for(accel, use_accel)(
         "pixels_healpix",
         (n_det, n_ivl, max_len),
-        body,
+        row_body(d_quats, d_out, nside, nest, flat, flagged),
         flops_per_iteration=80.0,
         bytes_per_iteration=48.0,
     )

@@ -3,7 +3,31 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
+
+
+def row_body(map_data, pixels, weights, tod, flat, data_scale, should_zero, should_subtract):
+    """``body(lo, hi)`` over detector rows of one observation."""
+
+    def body(lo, hi):
+        pix = pixels[lo:hi, flat]
+        good = pix >= 0
+        value = np.einsum(
+            "...k,...k->...",
+            np.take(map_data, np.where(good, pix, 0), axis=0),
+            np.take(weights[lo:hi], flat, axis=1),
+        )
+        value = np.where(good, value, 0.0) * data_scale
+        out = tod[lo:hi, flat]
+        if should_zero:
+            out[...] = 0.0
+        if should_subtract:
+            out -= value
+        else:
+            out += value
+        tod[lo:hi, flat] = out
+
+    return body
 
 
 @kernel("scan_map", ImplementationType.OMP_TARGET)
@@ -31,25 +55,13 @@ def scan_map(
     d_wts = resolve_view(accel, weights, use_accel)
     d_tod = resolve_view(accel, tod, use_accel)
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        pix = d_pix[idet, s]
-        good = pix >= 0
-        value = np.einsum("sk,sk->s", d_map[np.where(good, pix, 0)], d_wts[idet, s])
-        value = np.where(good, value, 0.0) * data_scale
-        if should_zero:
-            d_tod[idet, s] = 0.0
-        if should_subtract:
-            d_tod[idet, s] -= value
-        else:
-            d_tod[idet, s] += value
-
     launcher_for(accel, use_accel)(
         "scan_map",
         (n_det, n_ivl, max_len),
-        body,
+        row_body(
+            d_map, d_pix, d_wts, d_tod, flatten_intervals(starts, stops),
+            data_scale, should_zero, should_subtract,
+        ),
         flops_per_iteration=8.0,
         bytes_per_iteration=72.0,
     )

@@ -3,7 +3,16 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
+
+
+def row_body(weights_out, cal, flat):
+    """``body(lo, hi)`` over detector rows of one observation."""
+
+    def body(lo, hi):
+        weights_out[lo:hi, flat] = cal
+
+    return body
 
 
 @kernel("stokes_weights_I", ImplementationType.OMP_TARGET)
@@ -23,16 +32,10 @@ def stokes_weights_I(
 
     d_out = resolve_view(accel, weights_out, use_accel)
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        d_out[idet, s] = cal
-
     launcher_for(accel, use_accel)(
         "stokes_weights_I",
         (n_det, n_ivl, max_len),
-        body,
+        row_body(d_out, cal, flatten_intervals(starts, stops)),
         flops_per_iteration=1.0,
         bytes_per_iteration=8.0,
     )

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
 
 
 def _position_angle(q):
@@ -19,6 +19,22 @@ def _position_angle(q):
     pa_x = oz * (dx * dx + dy * dy) - dz * (ox * dx + oy * dy)
     polar = (dx * dx + dy * dy) < 1.0e-24
     return np.where(polar, np.arctan2(oy, ox), np.arctan2(pa_y, -pa_x))
+
+
+def row_body(quats, weights_out, hwp_angle, epsilon, cal, flat):
+    """``body(lo, hi)`` over detector rows of one observation."""
+    hwp = None if hwp_angle is None else 2.0 * hwp_angle[flat]
+
+    def body(lo, hi):
+        eta = (1.0 - epsilon[lo:hi, None]) / (1.0 + epsilon[lo:hi, None])
+        angle = _position_angle(np.take(quats[lo:hi], flat, axis=1))
+        if hwp is not None:
+            angle = angle + hwp
+        weights_out[lo:hi, flat, 0] = cal
+        weights_out[lo:hi, flat, 1] = cal * eta * np.cos(2.0 * angle)
+        weights_out[lo:hi, flat, 2] = cal * eta * np.sin(2.0 * angle)
+
+    return body
 
 
 @kernel("stokes_weights_IQU", ImplementationType.OMP_TARGET)
@@ -44,22 +60,10 @@ def stokes_weights_IQU(
     d_hwp = resolve_view(accel, hwp_angle, use_accel) if hwp_angle is not None else None
     d_eps = resolve_view(accel, epsilon, use_accel)
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        eta = (1.0 - d_eps[idet]) / (1.0 + d_eps[idet])
-        angle = _position_angle(d_quats[idet, s])
-        if d_hwp is not None:
-            angle = angle + 2.0 * d_hwp[s]
-        d_out[idet, s, 0] = cal
-        d_out[idet, s, 1] = cal * eta * np.cos(2.0 * angle)
-        d_out[idet, s, 2] = cal * eta * np.sin(2.0 * angle)
-
     launcher_for(accel, use_accel)(
         "stokes_weights_IQU",
         (n_det, n_ivl, max_len),
-        body,
+        row_body(d_quats, d_out, d_hwp, d_eps, cal, flatten_intervals(starts, stops)),
         flops_per_iteration=60.0,
         bytes_per_iteration=64.0,
     )

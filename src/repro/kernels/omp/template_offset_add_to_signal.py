@@ -3,7 +3,7 @@
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
 
 
 @kernel("template_offset_add_to_signal", ImplementationType.OMP_TARGET)
@@ -26,13 +26,11 @@ def template_offset_add_to_signal(
     d_amp = resolve_view(accel, amplitudes, use_accel)
     d_off = resolve_view(accel, amp_offsets, use_accel)
     d_tod = resolve_view(accel, tod, use_accel)
+    flat = flatten_intervals(starts, stops)
+    step = flat // step_length
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        amp_idx = d_off[idet] + s // step_length
-        d_tod[idet, s] += d_amp[amp_idx]
+    def body(lo, hi):
+        d_tod[lo:hi, flat] += d_amp[d_off[lo:hi, None] + step]
 
     launcher_for(accel, use_accel)(
         "template_offset_add_to_signal",

@@ -22,8 +22,8 @@ def template_offset_apply_diag_precond(
     d_in = resolve_view(accel, amp_in, use_accel)
     d_out = resolve_view(accel, amp_out, use_accel)
 
-    def body(i, j, lanes):
-        d_out[lanes] = d_in[lanes] * d_var[lanes]
+    def body(lo, hi):
+        np.multiply(d_in, d_var, out=d_out)
 
     launcher_for(accel, use_accel)(
         "template_offset_apply_diag_precond",

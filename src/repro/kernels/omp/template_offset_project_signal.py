@@ -2,12 +2,14 @@
 
 A straight loop with atomic accumulation -- the structure the paper notes
 loses to XLA's linear-algebra rewriting on this particular kernel (§4.2).
+Row blocks scatter detector-major, in sample order, so every amplitude
+sees its updates in the per-(detector, interval) loop's order.
 """
 
 import numpy as np
 
 from ...core.dispatch import ImplementationType, kernel
-from ..common import launcher_for, resolve_view
+from ..common import flatten_intervals, launcher_for, resolve_view
 
 
 @kernel("template_offset_project_signal", ImplementationType.OMP_TARGET)
@@ -30,13 +32,12 @@ def template_offset_project_signal(
     d_tod = resolve_view(accel, tod, use_accel)
     d_amp = resolve_view(accel, amplitudes, use_accel)
     d_off = resolve_view(accel, amp_offsets, use_accel)
+    flat = flatten_intervals(starts, stops)
+    step = flat // step_length
 
-    def body(idet, iivl, lanes):
-        start = starts[iivl]
-        stop = stops[iivl]
-        s = start + lanes[lanes < stop - start]
-        amp_idx = d_off[idet] + s // step_length
-        np.add.at(d_amp, amp_idx, d_tod[idet, s])
+    def body(lo, hi):
+        amp_idx = d_off[lo:hi, None] + step
+        np.add.at(d_amp, amp_idx.ravel(), d_tod[lo:hi, flat].ravel())
 
     launcher_for(accel, use_accel)(
         "template_offset_project_signal",

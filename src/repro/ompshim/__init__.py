@@ -11,9 +11,11 @@ simulated device:
 * :mod:`~repro.ompshim.datamap` -- the present table and ``map(to/from/
   tofrom/alloc)`` clause semantics with OpenMP reference counting;
 * ``OmpTargetRuntime.target_teams_distribute_parallel_for`` -- the
-  collapsed triple-loop launcher: team blocks over (detector, interval),
-  SIMD lanes over samples, with the in-loop guard the paper uses for
-  variable-length intervals.
+  collapsed triple-loop launcher.  The device is charged for the whole
+  padded (detector, interval, sample) grid, as a GPU runs it; the host
+  runs it as ``body(lo, hi)`` passes over cache-sized blocks of detector
+  rows, each covering every in-interval sample of its rows (the paper's
+  guard for variable-length intervals, evaluated once per launch).
 
 Kernels written against this API mutate device views in place (the OpenMP
 style), in contrast to jaxshim's pure-functional model -- the exact

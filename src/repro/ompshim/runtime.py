@@ -3,7 +3,8 @@
 One :class:`OmpTargetRuntime` wraps one simulated device and exposes the
 OpenMP device API (``omp_target_alloc``/``free``/``memcpy``), the data
 environment (``target_data``, ``target_enter_data``/``exit_data``,
-``target_update_*``), and the collapsed-loop kernel launcher.
+``target_update_*``), and the collapsed-loop kernel launcher, which runs
+a launch's grid as cache-blocked passes over its outer rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ..accel import DeviceBuffer, SimulatedDevice
 from ..obs import state as obs_state
 from ..obs.events import EventType
 from ..resilience import state as res_state
+from ..utils.blocking import det_blocks
 from .datamap import MapClause, PresentTable
 from .errors import MappingError, TargetRegionError
 
@@ -200,7 +202,7 @@ class OmpTargetRuntime:
         self,
         name: str,
         grid: Tuple[int, int, int],
-        body: Callable[[int, int, np.ndarray], None],
+        body: Callable[[int, int], None],
         flops_per_iteration: float = 10.0,
         bytes_per_iteration: float = 24.0,
         nowait: bool = False,
@@ -209,21 +211,25 @@ class OmpTargetRuntime:
 
         The collapsed iteration space is ``grid = (n_outer, n_middle,
         n_inner)`` -- for TOAST kernels (detectors, intervals, padded
-        samples).  Teams map onto the two outer axes; the inner axis is the
-        thread/SIMD dimension, which this shim executes as one vectorized
-        sweep per (outer, middle) pair: ``body(i, j, k_vec)`` receives the
-        full inner index vector, mirroring how a GPU executes the lanes of
-        the collapsed loop concurrently.
+        samples).  A GPU runs every lane of the region at once; this shim
+        runs it as row-block passes: ``body(lo, hi)`` is called once per
+        contiguous block of outer rows ``[lo, hi)``, in ascending order,
+        and handles every (middle, inner) lane of those rows in one
+        vectorized sweep.  A block holds
+        ``repro.utils.blocking.rows_per_block(n_middle * n_inner)`` rows,
+        so its temporaries stay in cache.
 
         The guard against out-of-interval lanes (the paper's "test to cut
-        work", §3.1.2) belongs inside ``body`` -- typically a boolean mask
-        on ``k_vec``.
+        work", §3.1.2) belongs to the kernel: it evaluates it once per
+        launch, typically as ``flatten_intervals(starts, stops)``, and the
+        body touches only those lanes.
 
-        The launch charges the device roofline cost for the whole grid.
-        With ``nowait=True`` the submission returns immediately (the
-        ``nowait`` clause): device time accrues on the device timeline and
-        the host must :meth:`taskwait` (or touch mapped data, which syncs)
-        before consuming results.
+        The launch charges the device roofline cost for the whole *padded*
+        grid, however the host splits it.  With ``nowait=True`` the
+        submission returns immediately (the ``nowait`` clause): device
+        time accrues on the device timeline and the host must
+        :meth:`taskwait` (or touch mapped data, which syncs) before
+        consuming results.
         """
         n_outer, n_middle, n_inner = (int(g) for g in grid)
         if n_outer < 0 or n_middle < 0 or n_inner < 0:
@@ -255,11 +261,8 @@ class OmpTargetRuntime:
             self.device.launch_async(name, seconds, n_launches=1)
         else:
             self.device.launch(name, seconds, n_launches=1)
-
-        k_vec = np.arange(n_inner, dtype=np.int64)
-        for i in range(n_outer):
-            for j in range(n_middle):
-                body(i, j, k_vec)
+        if total:
+            det_blocks(n_outer, n_middle * n_inner, body)
 
     def taskwait(self) -> None:
         """``#pragma omp taskwait``: block until async target work finishes."""

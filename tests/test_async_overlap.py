@@ -79,8 +79,8 @@ class TestRuntimeNowait:
         with rt.target_data(tofrom=[x]):
             d = rt.device_view(x)
 
-            def body(i, j, k):
-                d[i, j, k] = 7.0
+            def body(lo, hi):
+                d[lo:hi] = 7.0
 
             rt.target_teams_distribute_parallel_for(
                 "k", (1, 1, 64), body, nowait=True
@@ -97,7 +97,7 @@ class TestRuntimeNowait:
                 rt.target_teams_distribute_parallel_for(
                     "k",
                     (64, 64, 4096),
-                    lambda i, j, k: None,
+                    lambda lo, hi: None,
                     bytes_per_iteration=200.0,
                     nowait=nowait,
                 )
@@ -112,7 +112,7 @@ class TestRuntimeNowait:
         x = np.zeros(64)
         rt.target_enter_data(to=[x])
         rt.target_teams_distribute_parallel_for(
-            "k", (1, 1, 64), lambda i, j, k: None, nowait=True
+            "k", (1, 1, 64), lambda lo, hi: None, nowait=True
         )
         busy = rt.device.busy_until
         assert busy > rt.device.clock.now

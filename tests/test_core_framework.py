@@ -52,6 +52,20 @@ class TestFocalplane:
         assert w.shape == (6,)
         assert np.all(w > 0)
 
+    def test_detector_weights_follow_parameter_changes(self, fp):
+        """Cached by value: a changed NET never reads the old weights."""
+        nm = fp.noise_model(n_freq=64)
+        expect = np.array([nm.detector_weight(d) for d in fp.detectors])
+        w = fp.detector_weights()
+        assert w.tobytes() == expect.tobytes()
+        w[:] = 0.0  # callers own the returned array
+        assert fp.detector_weights().tobytes() == expect.tobytes()
+        fp.net[fp.detectors[1]] = 4.0 * fp.net.get(fp.detectors[1], 1.0)
+        changed = fp.detector_weights()
+        assert changed[1] != expect[1]
+        assert np.isclose(changed[1], expect[1] / 16.0)
+        assert changed[[0, 2, 3, 4, 5]].tobytes() == expect[[0, 2, 3, 4, 5]].tobytes()
+
     def test_noise_model_detectors(self, fp):
         nm = fp.noise_model(n_freq=32)
         assert set(nm.detectors) == set(fp.detectors)

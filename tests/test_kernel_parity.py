@@ -5,14 +5,18 @@ one batched pass over flattened interval samples.  The contract is not
 "numerically close" -- it is **bit-identical**: same operation order on the
 same lanes, so ``tobytes()`` matches.  The suite sweeps detector counts
 (including 1 and a prime), interval shapes (irregular, one full span, and
-no spans at all), and flag masks on/off.
+no spans at all), and flag masks on/off.  The same sweeps check that the
+cache-sized blocks of the numpy kernels, jaxshim's row tiles and the OMP
+launchers' row passes never change a bit.
 """
 
 import numpy as np
 import pytest
 
+from repro.accel import SimulatedDevice
 from repro.core.dispatch import ImplementationType
 from repro.kernels import kernel_registry
+from repro.ompshim import OmpTargetRuntime
 from repro.utils import blocking
 from repro.workflows.microbench import kernel_cases, make_intervals, run_kernel_case
 
@@ -108,6 +112,64 @@ def test_jax_bitwise_at_every_block_size(
         monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
         tiled = run_kernel_case(kernel, ImplementationType.JAX, factory)
         _assert_bitwise(kernel, whole, tiled)
+
+
+#: OMP kernels whose arithmetic differs from the oracle's in the last bits
+#: (an einsum contraction; the position-angle trigonometry): checked to
+#: 1e-12 against it, and bitwise against themselves.
+OMP_ORACLE_CLOSE = {"scan_map", "stokes_weights_IQU"}
+
+
+def _run_omp(kernel, factory, device):
+    """Run the OMP kernel through the host or the device launcher.
+
+    Returns the outputs and, on the device, the (virtual seconds, launch
+    count) it charged.
+    """
+    if not device:
+        return run_kernel_case(kernel, ImplementationType.OMP_TARGET, factory), None
+    fn = kernel_registry.get(kernel, ImplementationType.OMP_TARGET, allow_fallback=False)
+    args, outputs = factory()
+    rt = OmpTargetRuntime(SimulatedDevice(memory_bytes=1 << 26))
+    mapped = [a for a in args.values() if isinstance(a, np.ndarray)]
+    rt.target_enter_data(to=mapped)
+    fn(**args, accel=rt, use_accel=True)
+    for arr in mapped:
+        rt.target_update_from(arr)
+    rt.target_exit_data(release=mapped)
+    return [args[k] for k in outputs], (rt.device.clock.now, rt.device.kernels_launched)
+
+
+@pytest.mark.parametrize("device", [False, True], ids=["host", "device"])
+@pytest.mark.parametrize("with_flags", [True, False])
+@pytest.mark.parametrize("intervals", INTERVAL_KINDS)
+@pytest.mark.parametrize("n_det", DET_COUNTS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_omp_bitwise_at_every_block_size(
+    kernel, n_det, intervals, with_flags, device, monkeypatch
+):
+    """The collapse(3) launchers' row blocks never change a bit or a charge.
+
+    The default blocks hold every row of these cases.  The sweep shrinks
+    them to one detector row and to a few rows (uneven against 17
+    detectors), on the host launcher and on the device launcher, whose
+    virtual seconds and launch count must not depend on the split.
+    """
+    factory = kernel_cases(
+        n_det=n_det, n_samp=120, intervals=intervals, with_flags=with_flags
+    )[kernel]
+    py = run_kernel_case(kernel, ImplementationType.PYTHON, factory)
+    whole, charge = _run_omp(kernel, factory, device)
+    if kernel in OMP_ORACLE_CLOSE:
+        for ref, out in zip(py, whole):
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    else:
+        _assert_bitwise(kernel, py, whole)
+    for lanes in (1, 240, 360):
+        monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
+        split, split_charge = _run_omp(kernel, factory, device)
+        _assert_bitwise(kernel, whole, split)
+        assert split_charge == charge
 
 
 def test_empty_intervals_leave_outputs_untouched():

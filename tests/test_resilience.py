@@ -372,7 +372,7 @@ class TestDeviceFaults:
             ctrl.bind_clock(rt.device.clock)
             with pytest.raises(TargetRegionError) as e:
                 rt.target_teams_distribute_parallel_for(
-                    "k", (1, 1, 4), lambda i, j, k: None
+                    "k", (1, 1, 4), lambda lo, hi: None
                 )
         assert isinstance(e.value, KernelLaunchError)  # classifies transient
 
