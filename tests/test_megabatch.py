@@ -23,6 +23,7 @@ from repro.jaxshim.primitives import BATCHING_WAIVERS, batching_coverage
 from repro.kernels import MegabatchCollector, kernel_registry
 from repro.kernels.common import pad_intervals, pad_intervals_grouped, pad_intervals_stacked
 from repro.kernels.spec import ArgRole
+from repro.utils import blocking
 from repro.workflows.microbench import kernel_cases
 
 from tests.test_compilepipe import (
@@ -92,6 +93,22 @@ class TestCollectorParity:
     @pytest.mark.parametrize("impl", ACCEL_IMPLS, ids=lambda i: i.value)
     @pytest.mark.parametrize("name", MEGABATCH_KERNELS)
     def test_stacked_flush_matches_eager(self, impl, name):
+        self._assert_stacked_matches_eager(name, impl)
+
+    @pytest.mark.parametrize("lanes", [1, 800, 2000])
+    @pytest.mark.parametrize("name", MEGABATCH_KERNELS)
+    def test_omp_stacked_flush_at_every_block_size(self, name, lanes, monkeypatch):
+        """Row blocks of the stacked (obs, det) grid split and span observations.
+
+        A row of the group's grid holds 4 intervals x 96 padded lanes, so
+        a block holds one, two or five of its 4 x 3 rows; the last two
+        cross observation boundaries.
+        """
+        monkeypatch.setattr(blocking, "BLOCK_LANES", lanes)
+        self._assert_stacked_matches_eager(name, ImplementationType.OMP_TARGET)
+
+    @staticmethod
+    def _assert_stacked_matches_eager(name, impl):
         spec = kernel_registry.spec(name)
         base, gnames = _build_group(name, spec)
         eager = _clone_group(base, gnames)
